@@ -11,16 +11,19 @@ kernel TCP stack, journals on disk) and checks both halves:
   recorded history passes the strong-regularity checker.
 * **Performance** — sequential write and read throughput over loopback
   TCP (each write is two quorum round-trips carrying a full replica
-  block; each read is one), summarised in
-  ``benchmarks/results/BENCH_service_loopback.json`` and gated against
-  the committed baseline by ``scripts/check_bench_regression.py``.
+  block; each read is one), at D = 16 B (operations per second) and at
+  D = 64 KiB (MB/s, where the wire codec and the journal carry the
+  bytes), summarised in ``benchmarks/results/BENCH_service_loopback.json``
+  and gated against the committed baseline by
+  ``scripts/check_bench_regression.py``.
 
 Two entry points:
 
 * ``pytest benchmarks/bench_service_loopback.py`` — the semantic
   assertions on a small workload;
 * ``python benchmarks/bench_service_loopback.py [--quick]`` — the timed
-  run (quick: 60 writes + 60 reads; full: 400 + 400).
+  run (quick: 60 writes + 60 reads at 16 B, 40 + 40 at 64 KiB; full:
+  400 + 400 at each size).
 """
 
 from __future__ import annotations
@@ -42,21 +45,22 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 F = 1
 DATA = 16  # D = 128 bits
+BULK = 64 * 1024  # the bulk point: D = 64 KiB
 
 
-def value_of(index: int) -> bytes:
-    return bytes([33 + index % 90]) * DATA
+def value_of(index: int, size: int = DATA) -> bytes:
+    return bytes([33 + index % 90]) * size
 
 
-async def run_workload(writes: int, reads: int) -> dict:
+async def run_workload(writes: int, reads: int, size: int = DATA) -> dict:
     """Timed sequential writes then reads against a loopback cluster."""
     with tempfile.TemporaryDirectory(prefix="repro-bench-svc-") as tmp:
-        async with LoopbackCluster(F, DATA, tmp) as cluster:
+        async with LoopbackCluster(F, size, tmp) as cluster:
             client = cluster.client("w0", timeout=10.0)
 
             started = time.perf_counter()
             for index in range(writes):
-                await client.write(value_of(index))
+                await client.write(value_of(index, size))
             write_s = time.perf_counter() - started
 
             started = time.perf_counter()
@@ -69,17 +73,20 @@ async def run_workload(writes: int, reads: int) -> dict:
             history = client.history()
             await client.close()
 
-    sim = MsgABDSystem(f=F, data_size_bytes=DATA)
-    sim.add_writer("w0", value_of(0))
+    sim = MsgABDSystem(f=F, data_size_bytes=size)
+    sim.add_writer("w0", value_of(0, size))
     sim.run()
 
     return {
+        "size": size,
         "writes": writes,
         "reads": reads,
         "write_s": write_s,
         "read_s": read_s,
         "writes_per_s": writes / write_s,
         "reads_per_s": reads / read_s,
+        "write_mb_per_s": writes * size / write_s / 1e6,
+        "read_mb_per_s": reads * size / read_s / 1e6,
         "last_read": last,
         "at_rest_bits": at_rest_bits,
         "sim_at_rest_bits": sim.server_storage_bits(),
@@ -89,26 +96,32 @@ async def run_workload(writes: int, reads: int) -> dict:
 
 def check(payload: dict) -> None:
     """The semantic half — asserted in every mode."""
-    assert payload["last_read"] == value_of(payload["writes"] - 1)
+    size = payload["size"]
+    assert payload["last_read"] == value_of(payload["writes"] - 1, size)
     assert payload["at_rest_bits"] == payload["sim_at_rest_bits"] \
-        == (2 * F + 1) * DATA * 8
+        == (2 * F + 1) * size * 8
     assert payload["regular"]
 
 
-def render(payload: dict) -> str:
+def render(*payloads: dict) -> str:
     rows = [
-        ["write (2 quorum RTT)", payload["writes"],
-         f"{payload['writes_per_s']:.0f} ops/s"],
-        ["read (1 quorum RTT)", payload["reads"],
-         f"{payload['reads_per_s']:.0f} ops/s"],
+        [f"{op} ({rtt} quorum RTT)", p["size"], p[f"{op}s"],
+         f"{p[f'{op}s_per_s']:.0f} ops/s", f"{p[f'{op}_mb_per_s']:.2f} MB/s"]
+        for p in payloads for op, rtt in (("write", 2), ("read", 1))
     ]
-    table = format_table(["operation", "count", "loopback throughput"], rows)
+    table = format_table(
+        ["operation", "D (bytes)", "count", "loopback throughput", "MB/s"],
+        rows,
+    )
+    storage = "; ".join(
+        f"D={p['size']}: {p['at_rest_bits']} bits "
+        f"(== simulated deployment: {p['sim_at_rest_bits']})"
+        for p in payloads
+    )
     return (
-        f"E15: loopback TCP service — f={F}, D={DATA * 8} bits, "
+        f"E15: loopback TCP service — f={F}, "
         f"n={2 * F + 1} in-loop servers\n\n{table}\n\n"
-        f"at-rest storage: {payload['at_rest_bits']} bits "
-        f"(== simulated deployment: {payload['sim_at_rest_bits']}); "
-        "history strongly regular"
+        f"at-rest storage: {storage}; histories strongly regular"
     )
 
 
@@ -147,15 +160,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     writes, reads = (60, 60) if args.quick else (400, 400)
+    bulk_ops = 40 if args.quick else 400
     payload = asyncio.run(run_workload(writes, reads))
-    check(payload)
+    bulk = asyncio.run(run_workload(bulk_ops, bulk_ops, BULK))
+    for point in (payload, bulk):
+        check(point)
 
-    text = render(payload)
+    text = render(payload, bulk)
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     suffix = "_quick" if args.quick else ""
-    out = dict(payload)
-    out.pop("last_read")  # bytes: not JSON, asserted above instead
+    out = [
+        {key: value for key, value in point.items() if key != "last_read"}
+        for point in (payload, bulk)  # bytes: not JSON, asserted above
+    ]
     (RESULTS_DIR / f"e15_service_loopback{suffix}.json").write_text(
         json.dumps(out, indent=2, sort_keys=True) + "\n"
     )
@@ -170,6 +188,12 @@ def main(argv: list[str] | None = None) -> int:
             ),
             "reads_per_s": metric(
                 round(payload["reads_per_s"], 1), "ops/s"
+            ),
+            "bulk_write_mb_per_s": metric(
+                round(bulk["write_mb_per_s"], 2), "MB/s"
+            ),
+            "bulk_read_mb_per_s": metric(
+                round(bulk["read_mb_per_s"], 2), "MB/s"
             ),
         },
         RESULTS_DIR,

@@ -68,7 +68,7 @@ class JournalError(ServiceError, CheckpointError):
     """A replica journal is unusable (wrong replica config, corrupt body).
 
     Mirrors :class:`CheckpointError` semantics — a truncated trailing
-    line (the kill-mid-write artifact) is tolerated by loaders, anything
+    record (the kill-mid-write artifact) is tolerated by loaders, anything
     else raises — and subclasses it so journal-aware callers can catch
     either domain with one clause.
     """

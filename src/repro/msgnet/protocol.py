@@ -95,10 +95,13 @@ class ServerProtocol:
     Holds one timestamped block and answers the five request tags. The
     only mutation is the ``write`` rule — adopt strictly newer ``(ts,
     block)`` pairs — which makes retried writes idempotent: an equal-ts
-    replay is acknowledged without touching state. ``on_apply`` (when set)
-    fires *before* the ack is returned, so a write-ahead journal that
-    appends in the callback is guaranteed to persist state ahead of the
-    acknowledgement (the crash-recovery contract).
+    replay is acknowledged without touching state. A write is validated,
+    then persisted, then applied: a block that does not fit this replica
+    raises :class:`~repro.errors.ProtocolError`, and ``on_apply`` (when
+    set) fires *before* the state changes and the ack is returned, so a
+    write-ahead journal that appends in the callback persists state ahead
+    of the acknowledgement (the crash-recovery contract), and a callback
+    that raises leaves the state untouched and sends no ack.
     """
 
     def __init__(
@@ -128,12 +131,13 @@ class ServerProtocol:
             return [(sender, (REPLY_TS, request_id, self.state.ts))]
         if tag == WRITE:
             ts, block = rest
+            self._check_fits(block)
             if ts > self.state.ts:
+                if self.on_apply is not None:
+                    self.on_apply(ts, block)
                 self.state.ts = ts
                 self.state.block = block
                 self.applied_count += 1
-                if self.on_apply is not None:
-                    self.on_apply(ts, block)
             return [(sender, (REPLY_ACK, request_id))]
         if tag == READ:
             return [(
@@ -149,6 +153,17 @@ class ServerProtocol:
         if tag == PING:
             return [(sender, (REPLY_PONG, request_id))]
         raise ProtocolError(f"server {self.name}: unknown request tag {tag!r}")
+
+    def _check_fits(self, block: CodeBlock) -> None:
+        """Refuse a block that is not this replica's: index and size."""
+        bits = self.scheme.block_size_bits(self.index)
+        if block.index != self.index or block.size_bits != bits \
+                or len(block.payload) * 8 != bits:
+            raise ProtocolError(
+                f"server {self.name}: block {block.index} of "
+                f"{block.size_bits} bits ({len(block.payload)} payload "
+                f"bytes) does not fit replica {self.index} ({bits} bits)"
+            )
 
     def bind(self, transport: "Transport") -> None:
         """Drive this server from a push transport (see ``Transport``)."""

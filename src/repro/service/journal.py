@@ -1,72 +1,73 @@
-"""Append-only replica journal: crash recovery for one server.
+"""Append-only binary replica journal: crash recovery for one server.
 
-The executor's sweep checkpoint (``repro.analysis.executor.SweepJournal``)
-established the repository's journal idiom — JSONL, a header line pinning
-a SHA-256 signature of everything that must match for the file to be
-reusable, flush-per-line, a *tolerated* truncated trailing line (the
-kill-mid-write artifact), and a hard error on any other corruption. This
-module applies the same idiom to replica state: every write a server
-applies is appended **before** the acknowledgement leaves the process
-(write-ahead — see :class:`~repro.msgnet.protocol.ServerProtocol`'s
-``on_apply`` contract), so a SIGKILLed server restarts exactly at the last
-state any client could have observed as acknowledged.
+Each write a server applies is appended and flushed **before** its state
+changes and its ack leaves the process (see ``ServerProtocol.on_apply``),
+so a SIGKILLed server restarts at the last state any client could have
+seen acknowledged. Layout (big-endian)::
 
-Failure semantics mirror :class:`~repro.errors.CheckpointError` (and
-:class:`~repro.errors.JournalError` subclasses it): a journal written by a
-different replica configuration — another server name, crash budget, or
-value size — refuses to load rather than silently resurrecting the wrong
-state.
+    header = magic  version:u16  signature:64 ASCII hex
+    record = length:u32  crc32(body):u32  crc32(first 8 bytes):u32  body
+    body   = wire.encode_ts_block(ts, block)
+
+A record cut short by the end of the file (never acknowledged) is
+tolerated; a CRC mismatch, a malformed body, or a header that is missing,
+of another version or of another replica configuration raises
+:class:`~repro.errors.JournalError`. A replica's state is one ``(ts,
+block)`` pair, so :meth:`ReplicaJournal.open_for_append` compacts the
+file to that one record at every start.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
+import struct
+import zlib
+from operator import itemgetter
 from pathlib import Path
+from typing import Iterator
 
-from repro.coding.oracles import BlockSource, CodeBlock
-from repro.errors import JournalError
+from repro.coding.oracles import CodeBlock
+from repro.errors import JournalError, WireError
 from repro.registers.timestamps import Timestamp
+from repro.service.statedir import atomic_write
+from repro.service.wire import decode_ts_block, encode_ts_block
 
 #: Journal file format version (independent of the wire schema).
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
-#: Magic string identifying a replica journal header line.
-JOURNAL_MAGIC = "repro-replica-journal"
+#: Magic bytes opening every replica journal.
+JOURNAL_MAGIC = b"repro-replica-journal"
+
+_HEADER = struct.Struct(f">{len(JOURNAL_MAGIC)}sH64s")
+_RECORD = struct.Struct(">III")  # body length, body CRC32, CRC32 of those
+#: How a version-1 (JSONL) journal begins.
+_V1_PREFIX = b'{"journal": "repro-replica-journal"'
+
+Entry = tuple[Timestamp, CodeBlock]
 
 
 def replica_signature(
     name: str, index: int, f: int, data_size_bytes: int, scheme: str
 ) -> str:
-    """SHA-256 over the replica configuration a journal belongs to.
-
-    Two server processes share a signature iff replaying one's journal
-    into the other is sound: same replica identity, same cluster shape,
-    same value size, same coding scheme.
-    """
-    payload = {
-        "name": name,
-        "index": index,
-        "f": f,
-        "data_size_bytes": data_size_bytes,
-        "scheme": scheme,
-    }
+    """SHA-256 over the replica configuration a journal belongs to: two
+    servers share it iff replaying one's journal into the other is sound."""
+    payload = dict(name=name, index=index, f=f,
+                   data_size_bytes=data_size_bytes, scheme=scheme)
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class ReplicaJournal:
-    """Append-only JSONL journal of one replica's applied writes.
+def _record(ts: Timestamp, block: CodeBlock) -> bytes:
+    """One applied write as a record: length, body CRC32, their CRC32, body."""
+    body = encode_ts_block(ts, block)
+    head = struct.pack(">II", len(body), zlib.crc32(body))
+    return head + struct.pack(">I", zlib.crc32(head)) + body
 
-    Line 0 pins the magic, version, and replica signature; every further
-    line is one applied write ``{"ts": [num, client], "block": {...}}``.
-    The server process is the only writer, each line is flushed as it is
-    written, and :meth:`load` tolerates exactly one truncated trailing
-    line — that write was never acknowledged (the ack follows the flush),
-    so dropping it is indistinguishable from the crash arriving a moment
-    earlier.
-    """
+
+class ReplicaJournal:
+    """One replica's journal, written by its server process alone. Records
+    are flushed, not fsynced: they survive SIGKILL, not power loss."""
 
     def __init__(self, path: str | Path, signature: str) -> None:
         self.path = Path(path)
@@ -75,133 +76,82 @@ class ReplicaJournal:
 
     # ------------------------------------------------------------- reading
 
-    def load(self) -> list[tuple[Timestamp, CodeBlock]]:
-        """Applied writes from an existing journal, validated, in order.
-
-        Returns ``[]`` when the journal does not exist or is empty.
-        Raises :class:`~repro.errors.JournalError` when the header is
-        missing or pins a different replica, or when any line other than
-        the final one is malformed.
-        """
+    def records(self) -> Iterator[Entry]:
+        """Stream the applied writes, validated (none if no file yet)."""
         if not self.path.exists():
-            return []
-        lines = self.path.read_text().splitlines()
-        if not lines:
-            return []
-        header = self._parse_line(lines[0], line_number=1)
-        if header is None or header.get("journal") != JOURNAL_MAGIC:
+            return
+        with open(self.path, "rb") as handle:
+            if not (header := handle.read(_HEADER.size)):
+                return
+            self._check_header(header)
+            offset = _HEADER.size
+            # Ends at EOF or a torn record; a length is used once its CRC holds.
+            while len(prefix := handle.read(_RECORD.size)) == _RECORD.size:
+                length, crc, head_crc = _RECORD.unpack(prefix)
+                body = handle.read(length) \
+                    if zlib.crc32(prefix[:8]) == head_crc else None
+                if body is not None and len(body) < length:
+                    return
+                if body is None or zlib.crc32(body) != crc:
+                    raise JournalError(f"{self.path}@{offset}: corrupt "
+                                       f"journal record (CRC mismatch)")
+                try:
+                    entry = decode_ts_block(body)
+                except WireError as error:
+                    raise JournalError(f"{self.path}@{offset}: malformed "
+                                       f"journal record: {error}") from error
+                yield entry
+                offset += _RECORD.size + length
+
+    def load(self) -> list[Entry]:
+        """Every applied write in the journal, validated, in order."""
+        return list(self.records())
+
+    def recovered(self) -> Entry | None:
+        """The highest journaled write, streamed one record at a time.
+
+        Apply order makes it the last record; the maximum is taken anyway,
+        since recovery must not depend on an invariant a crash may break.
+        """
+        return max(self.records(), key=itemgetter(0), default=None)
+
+    def _check_header(self, header: bytes) -> None:
+        magic, version, signature = _HEADER.unpack(
+            header.ljust(_HEADER.size, b"\0"))
+        if header.startswith(_V1_PREFIX):
+            version = 1
+        elif magic != JOURNAL_MAGIC:
             raise JournalError(
-                f"{self.path}: not a replica journal (missing header)"
-            )
-        if header.get("journal_version") != JOURNAL_VERSION:
+                f"{self.path}: not a replica journal (missing header)")
+        if version != JOURNAL_VERSION:
             raise JournalError(
-                f"{self.path}: unsupported journal version "
-                f"{header.get('journal_version')!r}"
-            )
-        if header.get("signature") != self.signature:
+                f"{self.path}: unsupported journal version {version} "
+                f"(this build reads version {JOURNAL_VERSION})")
+        if signature != self.signature.encode("ascii"):
             raise JournalError(
                 f"{self.path}: journal was written by a different replica "
-                f"configuration (signature {header.get('signature')!r} != "
-                f"{self.signature!r}); refusing to recover from it"
-            )
-        entries: list[tuple[Timestamp, CodeBlock]] = []
-        for number, line in enumerate(lines[1:], start=2):
-            entry = self._parse_line(
-                line, line_number=number, tolerate=(number == len(lines))
-            )
-            if entry is None:  # tolerated truncated trailing line
-                continue
-            try:
-                ts = Timestamp(int(entry["ts"][0]), entry["ts"][1])
-                raw = entry["block"]
-                block = CodeBlock(
-                    payload=base64.b64decode(raw["p"]),
-                    index=int(raw["i"]),
-                    source=BlockSource(int(raw["op"]), int(raw["si"])),
-                    size_bits=int(raw["b"]),
-                )
-            except (KeyError, IndexError, TypeError, ValueError) as error:
-                raise JournalError(
-                    f"{self.path}:{number}: malformed journal entry: {error}"
-                ) from error
-            entries.append((ts, block))
-        return entries
-
-    def recovered(self) -> tuple[Timestamp, CodeBlock] | None:
-        """The replica state to restart from: the highest journaled write.
-
-        Entries are appended in apply order, and the apply rule only
-        adopts strictly newer timestamps — so the journal is strictly
-        increasing and the last entry is the recovery point. The maximum
-        is taken anyway: recovery must not depend on an invariant the
-        crash may have interrupted.
-        """
-        entries = self.load()
-        if not entries:
-            return None
-        return max(entries, key=lambda entry: entry[0])
-
-    def _parse_line(
-        self, line: str, *, line_number: int, tolerate: bool = False
-    ) -> dict | None:
-        try:
-            parsed = json.loads(line)
-        except json.JSONDecodeError as error:
-            if tolerate:
-                return None
-            raise JournalError(
-                f"{self.path}:{line_number}: corrupt journal line: {error}"
-            ) from error
-        if not isinstance(parsed, dict):
-            raise JournalError(
-                f"{self.path}:{line_number}: journal line is not an object"
-            )
-        return parsed
+                f"configuration; refusing to recover from it")
 
     # ------------------------------------------------------------- writing
 
-    def open_for_append(self) -> None:
-        """Open for appending; create the header when new or empty.
+    def open_for_append(self) -> Entry | None:
+        """Compact to the recovery point, open for appending, return it.
 
-        A truncated trailing line left by a crash is trimmed back to the
-        last complete line first — appending after partial text would fuse
-        two entries into one permanently corrupt line.
+        The rewrite (header + the recovered record) goes through a
+        ``.tmp`` and a rename: a crash mid-compaction leaves the original
+        journal, and the stale ``.tmp`` is overwritten next time.
         """
+        entry = self.recovered()
+        header = _HEADER.pack(
+            JOURNAL_MAGIC, JOURNAL_VERSION, self.signature.encode("ascii"))
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists() and self.path.stat().st_size > 0
-        if existed:
-            text = self.path.read_text()
-            if not text.endswith("\n"):
-                text = text[: text.rfind("\n") + 1]
-                self.path.write_text(text)
-                existed = bool(text)
-        self._handle = open(self.path, "a")
-        if not existed:
-            self._write_line({
-                "journal": JOURNAL_MAGIC,
-                "journal_version": JOURNAL_VERSION,
-                "signature": self.signature,
-            })
+        atomic_write(self.path, header + (_record(*entry) if entry else b""))
+        self._handle = open(self.path, "ab")
+        return entry
 
     def append(self, ts: Timestamp, block: CodeBlock) -> None:
         """Persist one applied write (flushed before this returns)."""
-        self._write_line({
-            "ts": [ts.num, ts.client],
-            "block": {
-                "p": base64.b64encode(block.payload).decode("ascii"),
-                "i": block.index,
-                "op": block.source.op_uid,
-                "si": block.source.index,
-                "b": block.size_bits,
-            },
-        })
-
-    def entry_count(self) -> int:
-        """Applied writes currently recoverable from the file."""
-        return len(self.load())
-
-    def _write_line(self, payload: dict) -> None:
-        self._handle.write(json.dumps(payload, sort_keys=True) + "\n")
+        self._handle.write(_record(ts, block))
         self._handle.flush()
 
     def close(self) -> None:

@@ -2,20 +2,19 @@
 
 A :class:`ReplicaServer` wraps exactly the
 :class:`~repro.msgnet.protocol.ServerProtocol` the simulator runs — zero
-protocol logic lives here. This module contributes only the production
-shell around it:
+protocol logic lives here, only the production shell around it:
 
-* **Transport** — length-prefixed JSON frames (``framing``/``wire``) over
-  asyncio TCP; one request frame in, its reply frames out on the same
-  connection.
-* **Durability** — a write-ahead :class:`~repro.service.journal.ReplicaJournal`:
-  the protocol's ``on_apply`` hook appends (and flushes) before the ack
-  frame is written, so SIGKILL can never lose an acknowledged write. On
-  start the server recovers its ``(ts, block)`` from the journal.
+* **Transport** — length-prefixed binary frames (``framing``/``wire``);
+  replies go back on the request's connection. A frame that does not
+  decode, or that the protocol refuses, is counted in
+  ``rejected_frames`` and closes only its own connection.
+* **Durability** — a write-ahead :class:`~repro.service.journal.ReplicaJournal`
+  appended (and flushed) by ``on_apply`` before the state changes and the
+  ack is written, so SIGKILL never loses an acknowledged write. Start
+  recovers ``(ts, block)`` and compacts the journal to that one record.
 * **Lifecycle** — pid/port files appear only once the listener is up
-  (the daemon's readiness signal); SIGTERM triggers a graceful drain:
-  stop accepting, let in-flight requests finish, flush and close the
-  journal, remove runtime files, exit 0.
+  (the daemon's readiness signal); SIGTERM drains: stop accepting, finish
+  in-flight requests, close the journal, remove runtime files, exit 0.
 
 ``python -m repro server ...`` (see :func:`main`) is the subprocess entry
 point ``repro serve`` spawns ``n`` times.
@@ -31,7 +30,7 @@ import sys
 from dataclasses import dataclass
 
 from repro.coding.replication import ReplicationCode
-from repro.errors import ParameterError, ReproError, WireError
+from repro.errors import ParameterError, ProtocolError, ReproError, WireError
 from repro.msgnet.protocol import ServerProtocol, ServerState
 from repro.service.framing import read_frame, write_frame
 from repro.service.journal import ReplicaJournal, replica_signature
@@ -94,34 +93,25 @@ class ReplicaServer:
         self._idle.set()
         self._draining = False
         self.stopped = asyncio.Event()
-
-    # ------------------------------------------------------------ recovery
-
-    def _recover_protocol(self) -> ServerProtocol:
-        """Build the replica state machine, replaying the journal if any."""
-        recovered = self.journal.recovered()
-        state = None
-        if recovered is not None:
-            ts, block = recovered
-            state = ServerState(block, ts)
-        protocol = ServerProtocol(
-            self.config.name, self.scheme, self.config.index,
-            bytes(self.config.data_size_bytes), state=state,
-            on_apply=self.journal.append,
-        )
-        return protocol
+        #: Torn, undecodable or refused frames (each closed its connection).
+        self.rejected_frames = 0
 
     # --------------------------------------------------------------- start
 
     async def start(self) -> None:
-        """Recover, listen, and publish pid/port files (readiness)."""
-        self.protocol = self._recover_protocol()
-        self.journal.open_for_append()
+        """Recover and compact the journal, listen, publish pid/port files."""
+        recovered = self.journal.open_for_append()
+        self.protocol = ServerProtocol(
+            self.config.name, self.scheme, self.config.index,
+            bytes(self.config.data_size_bytes),
+            state=ServerState(recovered[1], recovered[0]) if recovered
+            else None,
+            on_apply=self.journal.append,
+        )
         self._server = await asyncio.start_server(
             self._serve_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self.state_dir.root.mkdir(parents=True, exist_ok=True)
         atomic_write(self.state_dir.port_path(self.config.name),
                      f"{self.port}\n")
         atomic_write(self.state_dir.pid_path(self.config.name),
@@ -141,13 +131,8 @@ class ReplicaServer:
     ) -> None:
         self._writers.add(writer)
         try:
-            while True:
-                try:
-                    body = await read_frame(reader)
-                except WireError:
-                    break  # peer died mid-frame or desynchronized
-                if body is None or self._draining:
-                    break
+            while (body := await read_frame(reader)) is not None \
+                    and not self._draining:
                 self._busy += 1
                 self._idle.clear()
                 try:
@@ -156,6 +141,8 @@ class ReplicaServer:
                     self._busy -= 1
                     if self._busy == 0:
                         self._idle.set()
+        except (WireError, ProtocolError):
+            self.rejected_frames += 1  # a torn, undecodable or refused frame
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

@@ -6,7 +6,7 @@ One running cluster owns one state directory::
       meta.json        cluster config + spawn-time pids (daemon-written)
       <name>.pid       server-written after the socket is listening
       <name>.port      server-written actual bound port (ephemeral-safe)
-      <name>.journal.jsonl   append-only replica journal
+      <name>.journal.jsonl   replica journal (binary; .jsonl is historical)
       <name>.log       server stdout/stderr (daemon-spawned processes)
 
 Pid and port files are written by the *server process itself*, atomically
@@ -55,10 +55,10 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, data: str | bytes) -> None:
     """Write-then-rename so readers never observe a partial file."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data.encode() if isinstance(data, str) else data)
     tmp.replace(path)
 
 

@@ -1,96 +1,158 @@
-"""JSON wire codec for protocol payloads.
+"""Binary wire codec for protocol payloads, one fixed schema per tag.
 
-The protocol machines exchange plain tuples carrying
-:class:`~repro.registers.timestamps.Timestamp` and
-:class:`~repro.coding.oracles.CodeBlock` values. On the simulated network
-those objects travel by reference; over TCP they must survive a byte
-round-trip **losslessly** — a decoded timestamp must still compare with
-``>`` against a local one, a decoded block must still carry its source tag
-and bit size for the storage ledger.
+A payload ``(tag, request_id, *fields)`` round-trips losslessly (blocks
+keep the source tag and bit size the storage ledger meters). Layout
+(big-endian; ``str`` = ``u16`` length + UTF-8)::
 
-The encoding is tagged JSON: every non-JSON-native value becomes an
-object with a ``"!"`` discriminator (``ts`` / ``block`` / ``bytes``), and
-every JSON array decodes back to a *tuple* — protocol payloads and
-request ids are tuples, and quorum rounds compare request ids by
-equality, so sequence type must be preserved. Unknown tags raise
-:class:`~repro.errors.WireError` rather than leaking foreign objects into
-protocol state.
+    payload = tag:u8  rid  fields                (the tag indexes SCHEMAS)
+    rid     = count:u8  (0x00 i64 | 0x01 str)*   (decodes to a tuple)
+    ts      = num:i64  client:str
+    block   = index:u32  op_uid:i64  source_index:u32  size_bits:u64
+              length:u32  raw payload bytes
+
+Journal records hold :func:`encode_ts_block`: the very ``ts`` + ``block``
+bytes of a write frame. Decoding checks tag, arity, every length and that
+no bytes trail (else :class:`~repro.errors.WireError`); payloads decode to
+``bytes``.
 """
 
 from __future__ import annotations
 
-import base64
-import json
-from typing import Any
+import struct
 
 from repro.coding.oracles import BlockSource, CodeBlock
 from repro.errors import WireError
+from repro.msgnet import protocol
 from repro.registers.timestamps import Timestamp
 
-#: Discriminator key for tagged objects. Short on purpose: every write
-#: message carries a full replica block, so framing overhead is real.
-TAG = "!"
+#: ``(tag, field kinds after the request id)``; a tag's wire code is its
+#: position here.
+SCHEMAS = (
+    (protocol.READ_TS, ()),
+    (protocol.REPLY_TS, ("ts",)),
+    (protocol.WRITE, ("ts", "block")),
+    (protocol.REPLY_ACK, ()),
+    (protocol.READ, ()),
+    (protocol.REPLY_VALUE, ("ts", "block")),
+    (protocol.STATUS, ()),
+    (protocol.REPLY_STATUS, ("ts", "int", "int")),
+    (protocol.PING, ()),
+    (protocol.REPLY_PONG, ()),
+)
+_CODES = {tag: code for code, (tag, _kinds) in enumerate(SCHEMAS)}
+
+_U8 = struct.Struct(">B")
+_U16 = struct.Struct(">H")
+_I64 = struct.Struct(">q")
+_BLOCK = struct.Struct(">IqIQI")  # index, op_uid, source index, bits, length
 
 
-def to_wire(value: Any) -> Any:
-    """Lower one payload value to JSON-dumpable form."""
-    if isinstance(value, Timestamp):
-        return {TAG: "ts", "n": value.num, "c": value.client}
-    if isinstance(value, CodeBlock):
-        return {
-            TAG: "block",
-            "p": base64.b64encode(value.payload).decode("ascii"),
-            "i": value.index,
-            "op": value.source.op_uid,
-            "si": value.source.index,
-            "b": value.size_bits,
-        }
-    if isinstance(value, (bytes, bytearray)):
-        return {TAG: "bytes", "b64": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (tuple, list)):
-        return [to_wire(item) for item in value]
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    raise WireError(f"cannot encode {type(value).__name__} on the wire")
+def _parts(kinds, values):
+    """The encoded pieces of ``values``, one field kind each."""
+    for kind, value in zip(kinds, values):
+        if kind == "int":
+            yield _I64.pack(value)
+        elif kind == "str":
+            raw = value.encode("utf-8")
+            yield _U16.pack(len(raw)) + raw
+        elif kind == "ts":
+            yield from _parts(("int", "str"), (value.num, value.client))
+        elif kind == "rid":
+            yield _U8.pack(len(value))
+            for item in value:
+                item_kind = "str" if isinstance(item, str) else "int"
+                yield _U8.pack(item_kind == "str")
+                yield from _parts((item_kind,), (item,))
+        else:
+            yield _BLOCK.pack(value.index, value.source.op_uid,
+                              value.source.index, value.size_bits,
+                              len(value.payload))
+            yield value.payload
 
 
-def from_wire(value: Any) -> Any:
-    """Raise one decoded JSON value back to its protocol form."""
-    if isinstance(value, list):
-        return tuple(from_wire(item) for item in value)
-    if isinstance(value, dict):
-        tag = value.get(TAG)
-        if tag == "ts":
-            return Timestamp(value["n"], value["c"])
-        if tag == "block":
-            return CodeBlock(
-                payload=base64.b64decode(value["p"]),
-                index=value["i"],
-                source=BlockSource(value["op"], value["si"]),
-                size_bits=value["b"],
-            )
-        if tag == "bytes":
-            return base64.b64decode(value["b64"])
-        raise WireError(f"unknown wire tag {tag!r}")
-    return value
+def _encode(kinds, values) -> bytes:
+    try:
+        return b"".join(_parts(kinds, values))
+    except (struct.error, AttributeError, TypeError,
+            UnicodeEncodeError) as error:
+        raise WireError(f"cannot encode on the wire: {error}") from error
 
 
 def encode_payload(payload: tuple) -> bytes:
-    """One protocol payload -> compact JSON bytes."""
-    return json.dumps(
-        to_wire(payload), separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
+    """One protocol payload -> its binary frame body."""
+    tag = payload[0] if isinstance(payload, tuple) and payload else None
+    code = _CODES.get(tag) if isinstance(tag, str) else None
+    if code is None:
+        raise WireError(f"unknown wire tag in {payload!r:.80}")
+    kinds = ("rid", *SCHEMAS[code][1])
+    if len(payload) != 1 + len(kinds):
+        raise WireError(f"{tag!r} takes a request id and {len(kinds) - 1} "
+                        f"field(s), got {payload!r:.80}")
+    return _U8.pack(code) + _encode(kinds, payload[1:])
+
+
+def encode_ts_block(ts: Timestamp, block: CodeBlock) -> bytes:
+    """One replica state ``(ts, block)`` -> bytes (a journal record body)."""
+    return _encode(("ts", "block"), (ts, block))
+
+
+class _Reader:
+    """A bounds-checked cursor over one encoded payload."""
+
+    def __init__(self, data) -> None:
+        self.data, self.pos = bytes(data), 0
+
+    def take(self, size: int) -> bytes:
+        end = self.pos + size
+        if end > len(self.data):
+            raise WireError(f"truncated: needs {end} of {len(self.data)} B")
+        chunk, self.pos = self.data[self.pos:end], end
+        return chunk
+
+    def unpack(self, fmt: struct.Struct):
+        values = fmt.unpack(self.take(fmt.size))
+        return values[0] if len(values) == 1 else values
+
+    def field(self, kind: str):
+        if kind == "int":
+            return self.unpack(_I64)
+        if kind == "str":
+            return self.take(self.unpack(_U16)).decode("utf-8")
+        if kind == "ts":
+            return Timestamp(self.field("int"), self.field("str"))
+        if kind == "rid":
+            return tuple(self.field(self.rid_item_kind())
+                         for _ in range(self.unpack(_U8)))
+        index, op_uid, source_index, size_bits, size = self.unpack(_BLOCK)
+        return CodeBlock(self.take(size), index,
+                         BlockSource(op_uid, source_index), size_bits)
+
+    def rid_item_kind(self) -> str:
+        code = self.unpack(_U8)
+        if code > 1:
+            raise WireError(f"unknown request-id item kind {code}")
+        return ("int", "str")[code]
+
+    def fields(self, kinds) -> tuple:
+        try:
+            values = tuple(self.field(kind) for kind in kinds)
+        except UnicodeDecodeError as error:
+            raise WireError(f"string is not UTF-8: {error}") from error
+        if self.pos != len(self.data):
+            raise WireError(f"{len(self.data) - self.pos} trailing byte(s)")
+        return values
 
 
 def decode_payload(data: bytes) -> tuple:
-    """JSON bytes -> protocol payload tuple (:class:`WireError` on junk)."""
-    try:
-        decoded = from_wire(json.loads(data.decode("utf-8")))
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-            TypeError, ValueError) as error:
-        raise WireError(f"undecodable wire payload: {error}") from error
-    if not isinstance(decoded, tuple):
-        raise WireError(
-            f"wire payload is {type(decoded).__name__}, expected tuple"
-        )
-    return decoded
+    """Binary frame body -> protocol payload (:class:`WireError` on junk)."""
+    reader = _Reader(data)
+    code = reader.unpack(_U8)
+    if code >= len(SCHEMAS):
+        raise WireError(f"unknown wire tag code {code}")
+    tag, kinds = SCHEMAS[code]
+    return (tag, *reader.fields(("rid", *kinds)))
+
+
+def decode_ts_block(data: bytes) -> tuple[Timestamp, CodeBlock]:
+    """Bytes from :func:`encode_ts_block` -> ``(ts, block)``."""
+    return _Reader(data).fields(("ts", "block"))

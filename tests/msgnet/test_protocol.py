@@ -8,6 +8,8 @@ service) run exactly these machines, so every property proven here holds
 for both.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.coding.replication import ReplicationCode
@@ -134,6 +136,35 @@ class TestServerProtocol:
         server.handle("c", (WRITE, (0, 2), ts, block_for(b"x" * D, 0)))
         server.handle("c", (WRITE, (0, 2), ts, block_for(b"x" * D, 0)))
         assert len(applies) == 1
+
+    def test_failed_on_apply_leaves_state_untouched(self):
+        """Persist, then apply: an append that fails changes nothing."""
+        def broken_disk(ts, block):
+            raise OSError("disk full")
+
+        server = make_server(on_apply=broken_disk)
+        before = (server.state.ts, server.state.block)
+        with pytest.raises(OSError):
+            server.handle(
+                "c", (WRITE, (0, 2), Timestamp(1, "w"), block_for(b"x" * D, 0))
+            )
+        assert (server.state.ts, server.state.block) == before
+        assert server.applied_count == 0
+
+    @pytest.mark.parametrize("misfit", [
+        lambda blk: replace(blk, index=1),
+        lambda blk: replace(blk, payload=blk.payload + b"!"),
+        lambda blk: replace(blk, payload=blk.payload[:-1]),
+        lambda blk: replace(blk, size_bits=blk.size_bits - 8),
+    ])
+    def test_misfit_block_rejected_before_on_apply(self, misfit):
+        applies = []
+        server = make_server(on_apply=lambda ts, block: applies.append(ts))
+        with pytest.raises(ProtocolError, match="does not fit"):
+            server.handle("c", (WRITE, (0, 2), Timestamp(1, "w"),
+                                misfit(block_for(b"x" * D, 0))))
+        assert applies == []
+        assert server.state.ts == TS_ZERO
 
 
 class TestWriteOperation:

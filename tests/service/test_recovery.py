@@ -1,6 +1,5 @@
 """Crash recovery: SIGKILL mid-write, journal restart, linearizable after."""
 
-import asyncio
 import os
 import signal
 
@@ -176,12 +175,16 @@ class TestLoopbackRecovery:
             ))
             await server.drain()
 
-        run(write_and_stop())
         journal = StateDir(config.state_dir).journal_path("s0")
-        lines = journal.read_text().splitlines()
-        lines[1] = "{{not json"  # corrupt a *non-final* line: no tolerance
-        lines.append('{"ts": [9, "zz"], "block": {"p": "AA=="}}')
-        journal.write_text("\n".join(lines) + "\n")
+        run(start_stop(config))
+        header = journal.stat().st_size  # a fresh journal is its header
+        run(write_and_stop())
+        data = journal.read_bytes()
+        record = data[header:]
+        damaged = bytearray(record)
+        damaged[-1] ^= 0xFF
+        # The damaged record is *not* the final one: no tolerance.
+        journal.write_bytes(data[:header] + bytes(damaged) + record)
 
         async def try_restart():
             await ReplicaServer(config).start()
@@ -189,13 +192,51 @@ class TestLoopbackRecovery:
         with pytest.raises(JournalError):
             run(try_restart())
 
+    def test_restart_compacts_the_journal_to_one_record(self, loopback, run):
+        async def scenario():
+            async with loopback() as cluster:
+                client = cluster.client("w0")
+                for index in range(6):
+                    await client.write(b"write-%02d" % index)
+                await client.close()
+                config = cluster.servers["s0"].config
+            journal = StateDir(config.state_dir).journal_path("s0")
+            grown = journal.stat().st_size
+            reborn = ReplicaServer(config)
+            await reborn.start()
+            await reborn.drain()
+            return grown, journal, reborn
+
+        grown, journal, reborn = run(scenario())
+        assert reborn.protocol.state.ts == Timestamp(6, "w0")
+        assert len(reborn.journal.load()) == 1
+        assert journal.stat().st_size < grown
+
+    def test_leftover_compaction_tmp_is_ignored(self, loopback, run):
+        """A crash mid-compaction leaves the original journal plus a
+        partial ``.tmp``; the next start recovers from the original."""
+
+        async def scenario():
+            async with loopback() as cluster:
+                client = cluster.client("w0")
+                await client.write(b"survives")
+                await client.close()
+                config = cluster.servers["s0"].config
+            journal = StateDir(config.state_dir).journal_path("s0")
+            tmp = journal.with_suffix(journal.suffix + ".tmp")
+            tmp.write_bytes(journal.read_bytes()[:7])
+            reborn = ReplicaServer(config)
+            await reborn.start()
+            ts = reborn.protocol.state.ts
+            await reborn.drain()
+            return ts, tmp
+
+        ts, tmp = run(scenario())
+        assert ts == Timestamp(1, "w0")
+        assert not tmp.exists()  # the next compaction renamed over it
+
     def test_foreign_journal_refuses_to_start(self, tmp_path, run):
         state_dir = str(tmp_path / "cluster")
-
-        async def start_stop(config):
-            server = ReplicaServer(config)
-            await server.start()
-            await server.drain()
 
         run(start_stop(ServerConfig(
             name="s0", index=0, f=1, data_size_bytes=8, state_dir=state_dir,
@@ -206,6 +247,12 @@ class TestLoopbackRecovery:
                 name="s0", index=0, f=2, data_size_bytes=8,
                 state_dir=state_dir,
             )))
+
+
+async def start_stop(config):
+    server = ReplicaServer(config)
+    await server.start()
+    await server.drain()
 
 
 def _block(server, value):
